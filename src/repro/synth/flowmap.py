@@ -14,6 +14,13 @@ algorithm (Cong & Ding, 1994) on an arbitrary DAG:
 * the min-cut (the supernode's input boundary) is recovered from the
   residual graph.
 
+Nodes are indexed once in topological order and the network is never
+built: augmenting paths are found depth-first on the implicit residual
+graph of integer fanin/fanout lists (see ``_CutFinder``).  The cut read
+off the last, failing search is the source side of the residual graph,
+which is the same set after *any* maximum flow (the unique source-minimal
+min cut), so the search order cannot change a label or a cut.
+
 Cones are truncated at ``cone_cap`` nodes for very deep nodes; past the
 cap, nodes at the frontier are treated as pseudo-sources (a standard
 practical approximation that can only make labels conservative).
@@ -23,7 +30,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
+
+from ..obs import core as _obs
 
 Node = Hashable
 
@@ -65,8 +76,6 @@ class FlowMap:
         }
         self.k = k
         self.cone_cap = cone_cap
-        self.labels: Dict[Node, int] = {}
-        self.cuts: Dict[Node, FrozenSet[Node]] = {}
 
     # ------------------------------------------------------------------
     def _topological_order(self) -> List[Node]:
@@ -96,137 +105,237 @@ class FlowMap:
             raise ValueError("cycle detected in FlowMap input graph")
         return order
 
-    def is_source(self, node: Node) -> bool:
-        return not self.fanins.get(node)
-
     # ------------------------------------------------------------------
     def compute(self) -> FlowMapResult:
         """Compute labels and min-height K-feasible cuts for all nodes."""
-        for node in self._topological_order():
-            if self.is_source(node):
-                self.labels[node] = 0
-                self.cuts[node] = frozenset({node})
-                continue
-            fanin_nodes = self.fanins[node]
-            l_max = max(self.labels[f] for f in fanin_nodes)
-            cut = self._min_height_cut(node, l_max)
-            if cut is not None:
-                self.labels[node] = l_max
-                self.cuts[node] = cut
-            else:
-                self.labels[node] = l_max + 1
-                self.cuts[node] = frozenset(fanin_nodes)
-        return FlowMapResult(labels=dict(self.labels), cuts=dict(self.cuts))
+        order = self._topological_order()
+        index = {node: i for i, node in enumerate(order)}
+        finder = _CutFinder(
+            [[index[f] for f in self.fanins.get(node, ())] for node in order],
+            self.k,
+            self.cone_cap,
+        )
+        label = finder.label
+        labels: Dict[Node, int] = {}
+        cuts: Dict[Node, FrozenSet[Node]] = {}
+        with _obs.span("synth.flowmap", k=self.k) as sp:
+            for t, node in enumerate(order):
+                fanin_ids = finder.fanins[t]
+                if not fanin_ids:
+                    labels[node] = 0
+                    cuts[node] = frozenset({node})
+                    continue
+                l_max = max(label[f] for f in fanin_ids)
+                cut = finder.min_height_cut(t, l_max)
+                if cut is not None:
+                    label[t] = l_max
+                    cuts[node] = frozenset(order[v] for v in cut)
+                else:
+                    label[t] = l_max + 1
+                    cuts[node] = frozenset(self.fanins[node])
+                labels[node] = label[t]
+            counters = {
+                "nodes": len(order),
+                "networks": finder.networks,
+                "cone_nodes": finder.cone_nodes,
+                "augmentations": finder.augmentations,
+            }
+            sp.set(**counters)
+        for name, value in counters.items():
+            _obs.counter(f"flowmap.{name}", value)
+        return FlowMapResult(labels=labels, cuts=cuts)
 
-    # ------------------------------------------------------------------
-    def _collect_cone(self, target: Node) -> Set[Node]:
-        """Transitive fanin cone of ``target`` (inclusive), capped."""
-        cone: Set[Node] = set()
-        stack = [target]
-        while stack:
-            node = stack.pop()
-            if node in cone:
-                continue
-            cone.add(node)
-            if len(cone) >= self.cone_cap:
-                break
-            stack.extend(self.fanins.get(node, ()))
-        return cone
 
-    def _min_height_cut(self, target: Node, l_max: int) -> FrozenSet[Node] | None:
+class _CutFinder:
+    """Min-height cuts on an integer-indexed DAG, without a flow network.
+
+    The node-split network of a cone is never materialized.  Node ``v``
+    stands for two vertices, ``2v`` (its "in" side) and ``2v + 1`` (its
+    "out" side), and the residual graph is walked straight off the fanin
+    and fanout lists, the per-call cone/sink stamps and two flow records:
+    ``saturated`` (split edges carrying their unit of flow) and
+    ``edge_flow`` (flow on the uncapacitated fanin edges).  Edges from
+    the super-source and into the sink carry no record: the searches
+    never leave the sink or re-enter the source.
+    """
+
+    def __init__(self, fanins: List[List[int]], k: int, cone_cap: int):
+        n = len(fanins)
+        self.fanins = fanins
+        self.fanouts: List[List[int]] = [[] for _ in range(n)]
+        for v, fanin_ids in enumerate(fanins):
+            for u in dict.fromkeys(fanin_ids):
+                self.fanouts[u].append(v)
+        self.k = k
+        self.cone_cap = cone_cap
+        self.label = [0] * n
+        # Per-call stamps: in the current cone / on its sink side.
+        self.stamp = 0
+        self.in_cone = [0] * n
+        self.sink = [0] * n
+        # Per-search stamps and search-tree parents over split vertices.
+        self.mark = 0
+        self.seen = [0] * (2 * n)
+        self.parent = [0] * (2 * n)
+        self.networks = 0
+        self.cone_nodes = 0
+        self.augmentations = 0
+
+    def min_height_cut(self, target: int, l_max: int) -> Optional[List[int]]:
         """A K-feasible cut of height ``l_max - 1``, or ``None``.
 
-        Builds the node-split flow network over the cone of ``target``:
-        nodes labeled ``l_max`` (plus ``target``) collapse into the sink;
-        every other cone node has capacity 1; sources (or frontier nodes
-        past the cone cap) attach to the super-source.
+        The flow problem is the node-split cone network: nodes labeled
+        ``l_max`` (plus ``target``) collapse into the sink, every other
+        cone node has capacity 1, and sources (or frontier nodes past the
+        cone cap) hang off the super-source.
         """
-        cone = self._collect_cone(target)
-        sink_side = {
-            node for node in cone
-            if node == target or self.labels.get(node, 0) == l_max
-        }
-        # If cone truncation cut a sink-side node off from its fanins, a
-        # source-to-sink path is missing from the network; be conservative.
-        for node in sink_side:
-            if any(f not in cone for f in self.fanins.get(node, ())):
-                return None
-        # Interior nodes: capacity 1, split into (node, 'in') / (node, 'out').
-        # Residual graph as adjacency with capacities.
-        capacity: Dict[Tuple, Dict[Tuple, int]] = {}
-
-        def add_edge(u: Tuple, v: Tuple, cap: int) -> None:
-            capacity.setdefault(u, {})[v] = capacity.setdefault(u, {}).get(v, 0) + cap
-            capacity.setdefault(v, {}).setdefault(u, 0)
-
-        SOURCE = ("$source$",)
-        SINK = ("$sink$",)
-        INF = 1 << 20
-
-        for node in cone:
-            if node in sink_side:
+        fanins = self.fanins
+        label = self.label
+        in_cone = self.in_cone
+        sink = self.sink
+        self.stamp += 1
+        stamp = self.stamp
+        # Transitive fanin cone of ``target`` (inclusive), capped.
+        cone: List[int] = []
+        stack = [target]
+        while stack:
+            v = stack.pop()
+            if in_cone[v] == stamp:
                 continue
-            add_edge((node, "in"), (node, "out"), 1)
-            fanins = self.fanins.get(node, ())
-            is_frontier = (
-                not fanins
-                or any(f not in cone for f in fanins)
-            )
-            if is_frontier:
-                add_edge(SOURCE, (node, "in"), INF)
-        for node in cone:
-            for fanin in self.fanins.get(node, ()):
-                if fanin not in cone:
-                    continue
-                head = SINK if node in sink_side else (node, "in")
-                if fanin in sink_side:
-                    continue  # sink-side internal edge, irrelevant to the cut
-                add_edge((fanin, "out"), head, INF)
-
-        # BFS augmenting paths; stop once flow exceeds k.
-        flow = 0
-        while flow <= self.k:
-            parent: Dict[Tuple, Tuple] = {SOURCE: SOURCE}
-            queue = deque([SOURCE])
-            while queue and SINK not in parent:
-                u = queue.popleft()
-                for v, cap in capacity.get(u, {}).items():
-                    if cap > 0 and v not in parent:
-                        parent[v] = u
-                        queue.append(v)
-            if SINK not in parent:
+            in_cone[v] = stamp
+            cone.append(v)
+            if len(cone) >= self.cone_cap:
                 break
-            # Unit bottleneck (all finite capacities are 1).
-            v = SINK
-            while v != SOURCE:
-                u = parent[v]
-                capacity[u][v] -= 1
-                capacity[v][u] += 1
-                v = u
+            stack.extend(fanins[v])
+        self.cone_nodes += len(cone)
+        sink[target] = stamp
+        for v in cone:
+            if label[v] == l_max:
+                sink[v] = stamp
+        if len(cone) < self.cone_cap:
+            # The walk ran dry, so every fanin of a cone node is in it.
+            frontier = [v for v in cone if not fanins[v] and sink[v] != stamp]
+        else:
+            frontier = []
+            for v in cone:
+                fanin_ids = fanins[v]
+                if sink[v] == stamp:
+                    # Truncation cut a sink-side node off from its fanins,
+                    # so a source-to-sink path is missing from the network;
+                    # be conservative.
+                    if any(in_cone[f] != stamp for f in fanin_ids):
+                        return None
+                elif not fanin_ids or any(
+                    in_cone[f] != stamp for f in fanin_ids
+                ):
+                    frontier.append(v)
+        self.networks += 1
+
+        saturated: Set[int] = set()
+        edge_flow: Dict[Tuple[int, int], int] = {}
+        flow = 0
+        while self._augment(frontier, saturated, edge_flow):
             flow += 1
-        if flow > self.k:
+            if flow > self.k:
+                return None
+        if flow == 0:
             return None
 
-        # Min cut: interior nodes whose 'in' side is reachable in the
-        # residual graph but whose 'out' side is not.
-        reachable: Set[Tuple] = set()
-        queue = deque([SOURCE])
-        reachable.add(SOURCE)
-        while queue:
-            u = queue.popleft()
-            for v, cap in capacity.get(u, {}).items():
-                if cap > 0 and v not in reachable:
-                    reachable.add(v)
-                    queue.append(v)
-        cut = set()
-        for node in cone:
-            if node in sink_side:
-                continue
-            if (node, "in") in reachable and (node, "out") not in reachable:
-                cut.add(node)
-        if not cut or len(cut) > self.k:
-            return None
-        return frozenset(cut)
+        # The search that failed to reach the sink marked exactly the
+        # residual source side: the cut is every split edge leaving it,
+        # ``flow`` of them.
+        seen = self.seen
+        mark = self.mark
+        return [
+            v for v in cone
+            if sink[v] != stamp and seen[2 * v] == mark
+            and seen[2 * v + 1] != mark
+        ]
+
+    def _augment(
+        self,
+        frontier: List[int],
+        saturated: Set[int],
+        edge_flow: Dict[Tuple[int, int], int],
+    ) -> bool:
+        """Push one unit along a depth-first augmenting path, if any."""
+        fanins = self.fanins
+        fanouts = self.fanouts
+        in_cone = self.in_cone
+        sink = self.sink
+        stamp = self.stamp
+        seen = self.seen
+        parent = self.parent
+        self.mark += 1
+        mark = self.mark
+        stack: List[int] = []
+        for v in frontier:
+            x = 2 * v
+            seen[x] = mark
+            parent[x] = -1
+            stack.append(x)
+        while stack:
+            x = stack.pop()
+            v = x >> 1
+            if x & 1:
+                # Out side: forward along uncapacitated fanout edges, or
+                # back across a split edge that carries flow.
+                for w in fanouts[v]:
+                    if in_cone[w] != stamp:
+                        continue
+                    if sink[w] == stamp:
+                        self._push(x, saturated, edge_flow)
+                        return True
+                    y = 2 * w
+                    if seen[y] != mark:
+                        seen[y] = mark
+                        parent[y] = x
+                        stack.append(y)
+                if v in saturated and seen[x - 1] != mark:
+                    seen[x - 1] = mark
+                    parent[x - 1] = x
+                    stack.append(x - 1)
+            elif v in saturated:
+                # In side of a node carrying flow: that unit arrived on a
+                # fanin edge, which can be walked back.
+                for u in fanins[v]:
+                    y = 2 * u + 1
+                    if seen[y] != mark and edge_flow.get((u, v)):
+                        seen[y] = mark
+                        parent[y] = x
+                        stack.append(y)
+            elif seen[x + 1] != mark:
+                # In side of an idle node (no fanin edge into it carries
+                # flow): across its split edge.
+                seen[x + 1] = mark
+                parent[x + 1] = x
+                stack.append(x + 1)
+        return False
+
+    def _push(
+        self,
+        last: int,
+        saturated: Set[int],
+        edge_flow: Dict[Tuple[int, int], int],
+    ) -> None:
+        """Augment the search-tree path ending at out-vertex ``last``."""
+        self.augmentations += 1
+        parent = self.parent
+        y = last
+        x = parent[y]
+        while x >= 0:
+            if x >> 1 == y >> 1:
+                if x & 1:
+                    saturated.discard(y >> 1)
+                else:
+                    saturated.add(y >> 1)
+            elif x & 1:
+                key = (x >> 1, y >> 1)
+                edge_flow[key] = edge_flow.get(key, 0) + 1
+            else:
+                edge_flow[(y >> 1, x >> 1)] -= 1
+            y = x
+            x = parent[y]
 
 
 def flowmap_labels(

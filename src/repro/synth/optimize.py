@@ -55,6 +55,16 @@ def balance(aig: AIG) -> AIG:
     for name in aig.input_names:
         mapping[len(mapping)] = lit_node(fresh.add_input(name))
     new_lit_of: Dict[int, int] = {}
+    # Logic level per node of ``fresh``; AND ids are dense and created in
+    # topological order, so the list is extended over new ids on demand.
+    level: List[int] = [0] * (fresh.n_inputs + 1)
+
+    def level_of(literal: int) -> int:
+        node = lit_node(literal)
+        for new in range(len(level), node + 1):
+            f0, f1 = fresh.fanins(new)
+            level.append(1 + max(level[lit_node(f0)], level[lit_node(f1)]))
+        return level[node]
 
     def tree_leaves(literal: int, is_root: bool) -> List[int]:
         """Leaf literals of the maximal AND tree rooted at ``literal``."""
@@ -78,7 +88,7 @@ def balance(aig: AIG) -> AIG:
             leaves = tree_leaves(2 * node, True)
             new_leaves = sorted(
                 (rebuild(leaf) for leaf in leaves),
-                key=lambda lit_: _depth_of(fresh, lit_),
+                key=level_of,
             )
             base = fresh.and_many(new_leaves)
             new_lit_of[node] = base
@@ -87,26 +97,6 @@ def balance(aig: AIG) -> AIG:
     for name, literal in aig.outputs:
         fresh.add_output(name, rebuild(literal))
     return fresh
-
-
-def _depth_of(aig: AIG, literal: int) -> int:
-    # Cheap per-call depth: walk down memoized via levels() would be O(n)
-    # per call; instead compute once per rebuild batch.
-    node = lit_node(literal)
-    depth = 0
-    stack = [(node, 0)]
-    seen: Dict[int, int] = {}
-    while stack:
-        current, d = stack.pop()
-        if current in seen and seen[current] >= d:
-            continue
-        seen[current] = d
-        depth = max(depth, d)
-        if aig.is_and(current):
-            f0, f1 = aig.fanins(current)
-            stack.append((lit_node(f0), d + 1))
-            stack.append((lit_node(f1), d + 1))
-    return depth
 
 
 def rewrite_cuts(aig: AIG, k: int = 3) -> AIG:
