@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..cells.celltypes import (
     make_lut3,
@@ -30,7 +32,7 @@ from ..cells.celltypes import (
     make_nd3wi,
     make_xoa,
 )
-from ..logic.truthtable import TruthTable, all_functions
+from ..logic.truthtable import TruthTable, all_functions, mux_mask
 from .functions3 import (
     literal_sources_3in,
     mux2_implementable_3in,
@@ -61,18 +63,28 @@ class LogicConfig:
         return table in self.functions
 
 
+def _select_masks() -> Tuple[int, ...]:
+    """Masks of the six non-constant literals ``a, ~a, b, ~b, c, ~c``."""
+    return tuple(t.mask for t in literal_sources_3in() if not t.is_constant())
+
+
+def _tables(masks: Iterable[int]) -> FrozenSet[TruthTable]:
+    return frozenset(TruthTable(3, mask) for mask in masks)
+
+
 def _mux_over(
-    leg_sources: Sequence[TruthTable], other_sources: Sequence[TruthTable]
+    leg_sources: Iterable[TruthTable], other_sources: Iterable[TruthTable]
 ) -> FrozenSet[TruthTable]:
     """MUX(select-literal; leg, other) over 3-input tables, both orders."""
-    selects = [t for t in literal_sources_3in() if not t.is_constant()]
+    legs = [t.mask for t in leg_sources]
+    others = [t.mask for t in other_sources]
     found = set()
-    for s in selects:
-        for leg in leg_sources:
-            for other in other_sources:
-                found.add(TruthTable.mux(s, leg, other))
-                found.add(TruthTable.mux(s, other, leg))
-    return frozenset(found)
+    for s in _select_masks():
+        for leg in legs:
+            for other in others:
+                found.add(mux_mask(s, leg, other, 0xFF))
+                found.add(mux_mask(s, other, leg, 0xFF))
+    return _tables(found)
 
 
 @lru_cache(maxsize=None)
@@ -90,9 +102,7 @@ def nd3_functions() -> FrozenSet[TruthTable]:
 @lru_cache(maxsize=None)
 def ndmx_functions() -> FrozenSet[TruthTable]:
     """Config 3 — a 2:1 MUX with one data leg from an ND2WI gate."""
-    literals = literal_sources_3in()
-    nd_legs = tuple(nd2wi_sources_3in())
-    return _mux_over(nd_legs, literals)
+    return _mux_over(nd2wi_sources_3in(), literal_sources_3in())
 
 
 @lru_cache(maxsize=None)
@@ -104,24 +114,20 @@ def xoamx_functions() -> FrozenSet[TruthTable]:
     the other leg through a programmable polarity buffer, which realizes
     the 3-input XOR/XNOR.
     """
-    literals = literal_sources_3in()
-    mux_legs = tuple(mux2_implementable_3in())
-    plain = _mux_over(mux_legs, literals)
-    selects = [t for t in literal_sources_3in() if not t.is_constant()]
+    plain = _mux_over(mux2_implementable_3in(), literal_sources_3in())
     both_legs = set()
-    for s in selects:
-        for m in mux_legs:
-            both_legs.add(TruthTable.mux(s, m, ~m))
-            both_legs.add(TruthTable.mux(s, ~m, m))
-    return frozenset(plain | both_legs)
+    for s in _select_masks():
+        for t in mux2_implementable_3in():
+            m = t.mask
+            both_legs.add(mux_mask(s, m, m ^ 0xFF, 0xFF))
+            both_legs.add(mux_mask(s, m ^ 0xFF, m, 0xFF))
+    return plain | _tables(both_legs)
 
 
 @lru_cache(maxsize=None)
 def xoandmx_functions() -> FrozenSet[TruthTable]:
     """Config 5 — a 2:1 MUX fed by a 2:1 MUX and an ND3WI gate."""
-    mux_legs = tuple(mux2_implementable_3in())
-    nd3_legs = tuple(nd3wi_implementable_3in())
-    return _mux_over(mux_legs, nd3_legs)
+    return _mux_over(mux2_implementable_3in(), nd3wi_implementable_3in())
 
 
 @lru_cache(maxsize=None)

@@ -358,6 +358,11 @@ class TruthTable:
         return bin(self.mask).count("1")
 
 
+def mux_mask(select: int, d0: int, d1: int, full: int) -> int:
+    """:meth:`TruthTable.mux` on raw masks; ``full`` is the all-rows mask."""
+    return ((select ^ full) & d0) | (select & d1)
+
+
 def all_functions(n_inputs: int) -> Iterable[TruthTable]:
     """Iterate over every Boolean function of ``n_inputs`` variables."""
     if n_inputs > 4:

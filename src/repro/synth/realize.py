@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cells.celltypes import (
+    CellType,
     make_buf,
     make_inv,
     make_lut3,
@@ -36,7 +37,7 @@ from ..cells.celltypes import (
     make_nd3wi,
     make_xoa,
 )
-from ..logic.truthtable import TruthTable
+from ..logic.truthtable import TruthTable, mux_mask
 from ..obs import core as _obs
 
 Ref = Tuple[str, int]  # ("leaf", index) or ("step", index)
@@ -66,59 +67,107 @@ class Realization:
         return len(self.steps)
 
 
+# ----------------------------------------------------------------------
+# Truth-table masks
+# ----------------------------------------------------------------------
+# Candidates are enumerated on int masks in TruthTable's row convention
+# (n <= 3 leaves); a TruthTable is built only for a winner's function.
+
+_FULL_MASKS = tuple((1 << (1 << n)) - 1 for n in range(4))
+
+#: ``_SUPPORT_SIZE[n][mask]``: how many inputs an ``n``-input function uses.
+_SUPPORT_SIZE = tuple(
+    tuple(len(TruthTable(n, mask).support()) for mask in range(full + 1))
+    for n, full in enumerate(_FULL_MASKS)
+)
+
+#: ``_LITERAL_MASKS[n][code]`` for literal codes ``2 * leaf + inverted``
+#: (``a, ~a, b, ~b, ...``).
+_LITERAL_MASKS = tuple(
+    tuple(
+        TruthTable.input_var(n, leaf).mask ^ inv
+        for leaf in range(n)
+        for inv in (0, full)
+    )
+    for n, full in enumerate(_FULL_MASKS)
+)
+
+#: Per literal code: the leaf's bit when the literal is inverted, else 0.
+_INV_LEAF = tuple((code & 1) << (code >> 1) for code in range(6))
+_POPCOUNT = tuple(bin(bits).count("1") for bits in range(8))
+
+
+def _compose_mask(config: int, subs: Sequence[int], full: int) -> int:
+    """:meth:`TruthTable.compose` on masks.
+
+    ``config`` is a function of ``len(subs)`` inputs; input ``i`` is
+    replaced by the function ``subs[i]`` over the rows of ``full``.
+    """
+    out = 0
+    for row in range(1 << len(subs)):
+        if (config >> row) & 1:
+            minterm = full
+            for i, sub in enumerate(subs):
+                minterm &= sub if (row >> i) & 1 else sub ^ full
+            out |= minterm
+    return out
+
+
+#: A structure's step before resolution: ``(cell_name, config, refs)`` with
+#: refs ``("lit", code)`` for the leaf literal ``code = 2 * leaf +
+#: inverted``, ``("core", j)`` for core step ``j``'s output and
+#: ``("inv-core", j)`` for its complement.
+CoreStep = Tuple[str, TruthTable, Tuple[Tuple[str, int], ...]]
+#: A resolved step as a plain tuple: ``(cell_name, config, refs)``.
+PlanStep = Tuple[str, TruthTable, Tuple[Ref, ...]]
+
+
 class _TableBuilder:
-    """Accumulates the cheapest realization per (n_inputs, mask)."""
+    """Accumulates the cheapest realization per (n_inputs, mask).
+
+    Enumerators test a candidate by its mask, area and levels alone and
+    assemble a :class:`Realization` only when it wins.  The first
+    candidate wins ties, so the enumeration order fixes both the entries
+    and the table's insertion order.
+    """
 
     def __init__(self) -> None:
         self.table: Dict[Tuple[int, int], Realization] = {}
+        self.candidates = 0  # full-support structures tested
+        self.assembled = 0  # Realizations built for winners
 
-    def offer(self, realization: Realization) -> None:
-        key = (realization.function.n_inputs, realization.function.mask)
-        existing = self.table.get(key)
-        if (
+    def wins(self, n: int, mask: int, area: float, levels: int) -> bool:
+        """True when a structure computing ``mask`` beats its key's entry.
+
+        Only structures that depend on all ``n`` leaves are candidates.
+        """
+        if _SUPPORT_SIZE[n][mask] != n:
+            return False
+        self.candidates += 1
+        existing = self.table.get((n, mask))
+        return (
             existing is None
-            or (realization.area, realization.levels)
-            < (existing.area, existing.levels)
-        ):
-            self.table[key] = realization
+            or (area, levels) < (existing.area, existing.levels)
+        )
 
-
-# ----------------------------------------------------------------------
-# Leaf literal machinery
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Literal:
-    """A leaf or its complement, with the steps needed to produce it."""
-
-    table: TruthTable
-    ref_builder: Tuple[Tuple[str, int], bool]  # ((kind, index), inverted)
-
-    def materialize(
-        self, steps: List[Step], inv_cache: Dict[int, int]
-    ) -> Ref:
-        """Return a Ref, appending an INV step if the literal is negated."""
-        (kind, index), inverted = self.ref_builder
-        if not inverted:
-            return (kind, index)
-        if index in inv_cache:
-            return ("step", inv_cache[index])
-        steps.append(Step("INV", _INV_CONFIG, ((kind, index),)))
-        inv_cache[index] = len(steps) - 1
-        return ("step", inv_cache[index])
-
-
-def _literals(n: int) -> Tuple[_Literal, ...]:
-    out = []
-    for i in range(n):
-        var = TruthTable.input_var(n, i)
-        out.append(_Literal(var, (("leaf", i), False)))
-        out.append(_Literal(~var, (("leaf", i), True)))
-    return tuple(out)
-
-
-_INV_AREA = make_inv().area
-_BUF_AREA = make_buf().area
+    def put(
+        self,
+        n: int,
+        mask: int,
+        structure: str,
+        core_steps: Sequence[CoreStep],
+        area: float,
+        levels: int,
+    ) -> None:
+        """Assemble a winning candidate and file it under its key."""
+        self.assembled += 1
+        self.table[(n, mask)] = Realization(
+            function=TruthTable(n, mask),
+            steps=tuple(Step(*step) for step in _plan(core_steps)),
+            area=area,
+            levels=levels,
+            structure=structure,
+        )
 
 
 @lru_cache(maxsize=1)
@@ -135,306 +184,257 @@ def _step_areas() -> Dict[str, float]:
     }
 
 
-_INV_CONFIG = ~TruthTable.input_var(1, 0)
-
-
-def _assemble(
-    function: TruthTable,
-    structure: str,
-    core_steps: Sequence[Tuple[str, TruthTable, Sequence[object]]],
-    levels: int,
-) -> Realization:
-    """Build a Realization from core steps whose refs may be _Literals.
-
-    ``core_steps`` entries are ``(cell_name, config, refs)`` where each ref
-    is a :class:`_Literal`, a ``("core", j)`` reference to an earlier core
-    step, or ``("inv-core", j)`` for its complement.
-    """
+def _area(cells: Sequence[str]) -> float:
+    """Area of a step plan from its cell names, summed in step order."""
     areas = _step_areas()
-    steps: List[Step] = []
-    inv_cache: Dict[int, int] = {}
-    core_index: Dict[int, int] = {}
-    core_inv_index: Dict[int, int] = {}
+    return sum(areas[name] for name in cells)
+
+
+@lru_cache(maxsize=None)
+def _mux_areas(prefix: Tuple[str, ...]) -> Tuple[float, ...]:
+    """Area of ``prefix`` + ``k`` INV steps + a MUX2, indexed by ``k``."""
+    return tuple(_area(prefix + ("INV",) * k + ("MUX2",)) for k in range(4))
+
+
+_INV_CONFIG = ~TruthTable.input_var(1, 0)
+_MUX_CONFIG = TruthTable.mux(*TruthTable.inputs(3))
+
+
+def _plan(core_steps: Sequence[CoreStep]) -> List[PlanStep]:
+    """Resolve core steps into a realization's step list.
+
+    Every complemented source (a negative literal or an ``inv-core`` ref)
+    gets one INV step, appended just before the first step that uses it.
+    """
+    steps: List[PlanStep] = []
+    step_of: Dict[int, int] = {}  # core index -> step index
+    inverter: Dict[Ref, int] = {}  # source -> step index of its INV
     for j, (cell_name, config, refs) in enumerate(core_steps):
         resolved: List[Ref] = []
-        for ref in refs:
-            if isinstance(ref, _Literal):
-                resolved.append(ref.materialize(steps, inv_cache))
+        for kind, index in refs:
+            if kind == "lit":
+                source: Ref = ("leaf", index >> 1)
+                inverted = bool(index & 1)
             else:
-                kind, idx = ref  # type: ignore[misc]
-                if kind == "core":
-                    resolved.append(("step", core_index[idx]))
-                elif kind == "inv-core":
-                    if idx not in core_inv_index:
-                        steps.append(
-                            Step(
-                                "INV",
-                                ~TruthTable.input_var(1, 0),
-                                (("step", core_index[idx]),),
-                            )
-                        )
-                        core_inv_index[idx] = len(steps) - 1
-                    resolved.append(("step", core_inv_index[idx]))
-                else:  # pragma: no cover - defensive
-                    raise ValueError(f"bad ref {ref!r}")
-        steps.append(Step(cell_name, config, tuple(resolved)))
-        core_index[j] = len(steps) - 1
-    area = sum(areas[s.cell_name] for s in steps)
-    return Realization(
-        function=function,
-        steps=tuple(steps),
-        area=area,
-        levels=levels,
-        structure=structure,
-    )
+                source = ("step", step_of[index])
+                inverted = kind == "inv-core"
+            if inverted:
+                if source not in inverter:
+                    steps.append(("INV", _INV_CONFIG, (source,)))
+                    inverter[source] = len(steps) - 1
+                source = ("step", inverter[source])
+            resolved.append(source)
+        steps.append((cell_name, config, tuple(resolved)))
+        step_of[j] = len(steps) - 1
+    return steps
+
+
+def _lit_refs(*codes: int) -> Tuple[Tuple[str, int], ...]:
+    return tuple(("lit", code) for code in codes)
 
 
 # ----------------------------------------------------------------------
 # Structure enumerators (forward)
 # ----------------------------------------------------------------------
 
-def _mux_tt(s: TruthTable, d0: TruthTable, d1: TruthTable) -> TruthTable:
-    return TruthTable.mux(s, d0, d1)
-
-
-def _offer_nd2_singles(builder: _TableBuilder, n: int) -> None:
-    """Single ND2WI over any two literal sources (polarity is internal)."""
-    cell = make_nd2wi()
-    assert cell.feasible is not None
-    lits = _literals(n)
-    for a, b in itertools.product(lits, repeat=2):
-        # Polarity is free inside the cell, so only positive leaves are
-        # wired; enumerate the cell's feasible configs directly.
-        if a.ref_builder[1] or b.ref_builder[1]:
-            continue
-        for config in cell.feasible:
-            function = config.compose([a.table, b.table])
-            if len(function.support()) != n:
-                continue
-            builder.offer(
-                _assemble(function, "ND2", [("ND2WI", config, [a, b])], 1)
+def _offer_inv_buf(builder: _TableBuilder) -> None:
+    for cell_name, config in (
+        ("INV", _INV_CONFIG), ("BUF", TruthTable.input_var(1, 0))
+    ):
+        area = _area((cell_name,))
+        if builder.wins(1, config.mask, area, 1):
+            builder.put(
+                1, config.mask, cell_name,
+                ((cell_name, config, _lit_refs(0)),), area, 1,
             )
 
 
-def _offer_nd3_singles(builder: _TableBuilder, n: int) -> None:
-    """Single ND3WI over any three positive leaf sources (ties allowed)."""
-    cell = make_nd3wi()
+def _offer_gate_singles(
+    builder: _TableBuilder, cell: CellType, structure: str, n: int
+) -> None:
+    """Single ND2WI/ND3WI over positive leaf sources (ties allowed).
+
+    Polarity is free inside the cell, so only positive leaves are wired;
+    the cell's feasible configs supply the rest.
+    """
     assert cell.feasible is not None
-    lits = [lit for lit in _literals(n) if not lit.ref_builder[1]]
-    for a, b, c in itertools.product(lits, repeat=3):
+    full, lits = _FULL_MASKS[n], _LITERAL_MASKS[n]
+    area = _area((cell.name,))
+    for codes in itertools.product(range(0, 2 * n, 2), repeat=len(cell.pins)):
+        subs = [lits[code] for code in codes]
         for config in cell.feasible:
-            function = config.compose([a.table, b.table, c.table])
-            if len(function.support()) != n:
-                continue
-            builder.offer(
-                _assemble(function, "ND3", [("ND3WI", config, [a, b, c])], 1)
+            mask = _compose_mask(config.mask, subs, full)
+            if builder.wins(n, mask, area, 1):
+                builder.put(
+                    n, mask, structure,
+                    ((cell.name, config, _lit_refs(*codes)),), area, 1,
+                )
+
+
+def _offer_mux_singles(builder: _TableBuilder, n: int) -> None:
+    """Single MUX2 over literals (INV steps supply negative polarity)."""
+    full, lits = _FULL_MASKS[n], _LITERAL_MASKS[n]
+    areas = _mux_areas(())
+    for s, d0, d1 in itertools.product(range(2 * n), repeat=3):
+        mask = mux_mask(lits[s], lits[d0], lits[d1], full)
+        area = areas[_POPCOUNT[_INV_LEAF[s] | _INV_LEAF[d0] | _INV_LEAF[d1]]]
+        if builder.wins(n, mask, area, 1):
+            builder.put(
+                n, mask, "MX",
+                (("MUX2", _MUX_CONFIG, _lit_refs(s, d0, d1)),), area, 1,
             )
 
 
-def _offer_mux_singles(builder: _TableBuilder, n: int, cell_name: str = "MUX2") -> None:
-    """Single mux over literals (INV steps supply negative polarity)."""
-    mux_fn = _mux_tt(*TruthTable.inputs(3))
-    lits = _literals(n)
-    for s, d0, d1 in itertools.product(lits, repeat=3):
-        function = _mux_tt(s.table, d0.table, d1.table)
-        if len(function.support()) != n:
-            continue
-        builder.offer(
-            _assemble(function, "MX", [(cell_name, mux_fn, [s, d0, d1])], 1)
+def _gate_inner_options(cell: CellType) -> List[Tuple[int, CoreStep]]:
+    """Distinct ND2WI/ND3WI outputs over positive leaves, with core steps."""
+    assert cell.feasible is not None
+    lits = _LITERAL_MASKS[3]
+    seen: Dict[int, CoreStep] = {}
+    for codes in itertools.product((0, 2, 4), repeat=len(cell.pins)):
+        subs = [lits[code] for code in codes]
+        for config in cell.feasible:
+            mask = _compose_mask(config.mask, subs, 0xFF)
+            if mask not in seen:
+                seen[mask] = (cell.name, config, _lit_refs(*codes))
+    return list(seen.items())
+
+
+def _mux_inner_options(cell_name: str) -> List[Tuple[int, int, CoreStep]]:
+    """Distinct inner-mux outputs, each wired with the fewest inverted pins.
+
+    Entries are ``(mask, inverted-leaf bits, core step)``.
+    """
+    lits = _LITERAL_MASKS[3]
+    best: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+    for codes in itertools.product(range(6), repeat=3):
+        s, d0, d1 = codes
+        mask = mux_mask(lits[s], lits[d0], lits[d1], 0xFF)
+        n_inv = (s & 1) + (d0 & 1) + (d1 & 1)
+        if mask not in best or n_inv < best[mask][0]:
+            best[mask] = (n_inv, codes)
+    return [
+        (
+            mask,
+            _INV_LEAF[codes[0]] | _INV_LEAF[codes[1]] | _INV_LEAF[codes[2]],
+            (cell_name, _MUX_CONFIG, _lit_refs(*codes)),
         )
-
-
-def _nd2_inner_options(n: int) -> List[Tuple[TruthTable, Tuple[str, TruthTable, list]]]:
-    """Distinct ND2WI outputs over positive leaves, with their core step."""
-    cell = make_nd2wi()
-    assert cell.feasible is not None
-    lits = [lit for lit in _literals(n) if not lit.ref_builder[1]]
-    seen: Dict[int, Tuple[TruthTable, Tuple[str, TruthTable, list]]] = {}
-    for a, b in itertools.product(lits, repeat=2):
-        for config in cell.feasible:
-            function = config.compose([a.table, b.table])
-            if function.mask not in seen:
-                seen[function.mask] = (function, ("ND2WI", config, [a, b]))
-    return list(seen.values())
-
-
-def _nd3_inner_options(n: int) -> List[Tuple[TruthTable, Tuple[str, TruthTable, list]]]:
-    cell = make_nd3wi()
-    assert cell.feasible is not None
-    lits = [lit for lit in _literals(n) if not lit.ref_builder[1]]
-    seen: Dict[int, Tuple[TruthTable, Tuple[str, TruthTable, list]]] = {}
-    for a, b, c in itertools.product(lits, repeat=3):
-        for config in cell.feasible:
-            function = config.compose([a.table, b.table, c.table])
-            if function.mask not in seen:
-                seen[function.mask] = (function, ("ND3WI", config, [a, b, c]))
-    return list(seen.values())
-
-
-def _mux_inner_options(
-    n: int, cell_name: str
-) -> List[Tuple[TruthTable, Tuple[str, TruthTable, list], int]]:
-    """Distinct inner-mux outputs with their core step and inverter count."""
-    mux_fn = _mux_tt(*TruthTable.inputs(3))
-    lits = _literals(n)
-    best: Dict[int, Tuple[TruthTable, Tuple[str, TruthTable, list], int]] = {}
-    for s, d0, d1 in itertools.product(lits, repeat=3):
-        function = _mux_tt(s.table, d0.table, d1.table)
-        n_inv = sum(1 for lit in (s, d0, d1) if lit.ref_builder[1])
-        key = function.mask
-        if key not in best or n_inv < best[key][2]:
-            best[key] = (function, (cell_name, mux_fn, [s, d0, d1]), n_inv)
-    return list(best.values())
+        for mask, (_, codes) in best.items()
+    ]
 
 
 def _offer_two_gate_nand(builder: _TableBuilder) -> None:
     """ND2WI feeding one input of another ND2WI (plain DC decomposition)."""
-    inner = _nd2_inner_options(3)
     cell = make_nd2wi()
     assert cell.feasible is not None
-    lits = [lit for lit in _literals(3) if not lit.ref_builder[1]]
-    for inner_fn, inner_step in inner:
-        for other in lits:
+    lits = _LITERAL_MASKS[3]
+    area = _area(("ND2WI", "ND2WI"))
+    for inner, inner_step in _gate_inner_options(cell):
+        for other in (0, 2, 4):
             for config in cell.feasible:
-                function = config.compose([inner_fn, other.table])
-                if len(function.support()) != 3:
-                    continue
-                builder.offer(
-                    _assemble(
-                        function,
-                        "ND2+ND2",
-                        [inner_step, ("ND2WI", config, [("core", 0), other])],
-                        2,
+                mask = _compose_mask(config.mask, (inner, lits[other]), 0xFF)
+                if builder.wins(3, mask, area, 2):
+                    builder.put(
+                        3, mask, "ND2+ND2",
+                        (inner_step,
+                         ("ND2WI", config, (("core", 0), ("lit", other)))),
+                        area, 2,
                     )
+
+
+#: One wiring of the outer mux's data pins: ``(d0 mask, d1 mask, (d0 ref,
+#: d1 ref), inverted-leaf bits, complemented cores)``.
+_Legs = Tuple[int, int, Tuple[Tuple[str, int], ...], int, int]
+
+
+def _literal_legs(core: int) -> List[_Legs]:
+    """Core step 0 on one data pin and a literal on the other, both orders."""
+    legs: List[_Legs] = []
+    for other in range(6):
+        lit, inv = _LITERAL_MASKS[3][other], _INV_LEAF[other]
+        legs.append((core, lit, (("core", 0), ("lit", other)), inv, 0))
+        legs.append((lit, core, (("lit", other), ("core", 0)), inv, 0))
+    return legs
+
+
+def _offer_outer_mux(
+    builder: _TableBuilder,
+    structure: str,
+    inner_steps: Tuple[CoreStep, ...],
+    prefix_inv: int,
+    legs: Sequence[_Legs],
+) -> None:
+    """A MUX2 selected by a literal, its data pins wired as in ``legs``.
+
+    The step list starts with the inverters of the leaves in
+    ``prefix_inv`` (only the first inner step takes negative literals)
+    and the ``inner_steps``; the outer mux's new inverters follow, then
+    the mux itself.
+    """
+    prefix = ("INV",) * _POPCOUNT[prefix_inv] + tuple(
+        step[0] for step in inner_steps
+    )
+    areas = _mux_areas(prefix)
+    lits = _LITERAL_MASKS[3]
+    for s in range(6):
+        select, select_inv = lits[s], _INV_LEAF[s]
+        for d0, d1, refs, leg_inv, inv_cores in legs:
+            mask = mux_mask(select, d0, d1, 0xFF)
+            new_inv = (select_inv | leg_inv) & ~prefix_inv
+            area = areas[_POPCOUNT[new_inv] + inv_cores]
+            if builder.wins(3, mask, area, 2):
+                outer = ("MUX2", _MUX_CONFIG, (("lit", s),) + refs)
+                builder.put(
+                    3, mask, structure, inner_steps + (outer,), area, 2
                 )
 
 
 def _offer_ndmx(builder: _TableBuilder) -> None:
     """Config 3 — MUX2 with one data leg from an ND2WI."""
-    mux_fn = _mux_tt(*TruthTable.inputs(3))
-    inner = _nd2_inner_options(3)
-    lits = _literals(3)
-    for inner_fn, inner_step in inner:
-        for s in lits:
-            for other in lits:
-                for legs in (
-                    [s, ("core", 0), other],
-                    [s, other, ("core", 0)],
-                ):
-                    tables = [
-                        lit.table if isinstance(lit, _Literal) else inner_fn
-                        for lit in legs
-                    ]
-                    function = _mux_tt(*tables)
-                    if len(function.support()) != 3:
-                        continue
-                    builder.offer(
-                        _assemble(
-                            function,
-                            "NDMX",
-                            [inner_step, ("MUX2", mux_fn, legs)],
-                            2,
-                        )
-                    )
+    for inner, inner_step in _gate_inner_options(make_nd2wi()):
+        _offer_outer_mux(
+            builder, "NDMX", (inner_step,), 0, _literal_legs(inner)
+        )
 
 
-def _offer_xoamx(builder: _TableBuilder, inner_cell: str = "XOA") -> None:
+def _offer_xoamx(builder: _TableBuilder, inner_cell: str) -> None:
     """Config 4 — MUX2 with one data leg from the XOA mux.
 
     Includes the both-legs wiring (inner and inverted inner) that realizes
     the 3-input XOR/XNOR with two muxes and an inverter.
     """
-    mux_fn = _mux_tt(*TruthTable.inputs(3))
-    inner = _mux_inner_options(3, inner_cell)
-    lits = _literals(3)
-    for inner_fn, inner_step, _ in inner:
-        for s in lits:
-            for other in lits:
-                for legs in (
-                    [s, ("core", 0), other],
-                    [s, other, ("core", 0)],
-                ):
-                    tables = [
-                        lit.table if isinstance(lit, _Literal) else inner_fn
-                        for lit in legs
-                    ]
-                    function = _mux_tt(*tables)
-                    if len(function.support()) != 3:
-                        continue
-                    builder.offer(
-                        _assemble(
-                            function, "XOAMX",
-                            [inner_step, ("MUX2", mux_fn, legs)], 2,
-                        )
-                    )
-            # both legs from the inner mux, one through an inverter
-            for legs in (
-                [s, ("core", 0), ("inv-core", 0)],
-                [s, ("inv-core", 0), ("core", 0)],
-            ):
-                tables = [
-                    lit.table if isinstance(lit, _Literal) else
-                    (inner_fn if lit[0] == "core" else ~inner_fn)
-                    for lit in legs
-                ]
-                function = _mux_tt(*tables)
-                if len(function.support()) != 3:
-                    continue
-                builder.offer(
-                    _assemble(
-                        function, "XOAMX",
-                        [inner_step, ("MUX2", mux_fn, legs)], 2,
-                    )
-                )
+    for inner, inner_inv, inner_step in _mux_inner_options(inner_cell):
+        complement = inner ^ 0xFF
+        legs = _literal_legs(inner) + [
+            (inner, complement, (("core", 0), ("inv-core", 0)), 0, 1),
+            (complement, inner, (("inv-core", 0), ("core", 0)), 0, 1),
+        ]
+        _offer_outer_mux(builder, "XOAMX", (inner_step,), inner_inv, legs)
 
 
-def _offer_xoandmx(builder: _TableBuilder, inner_cell: str = "XOA") -> None:
+def _offer_xoandmx(builder: _TableBuilder, inner_cell: str) -> None:
     """Config 5 — MUX2 fed by the XOA mux and an ND3WI gate."""
-    mux_fn = _mux_tt(*TruthTable.inputs(3))
-    mux_inner = _mux_inner_options(3, inner_cell)
-    nd3_inner = _nd3_inner_options(3)
-    lits = _literals(3)
-    for mux_fn_inner, mux_step, _ in mux_inner:
-        for nd3_fn, nd3_step in nd3_inner:
-            for s in lits:
-                for legs in (
-                    [s, ("core", 0), ("core", 1)],
-                    [s, ("core", 1), ("core", 0)],
-                ):
-                    tables = []
-                    for lit in legs:
-                        if isinstance(lit, _Literal):
-                            tables.append(lit.table)
-                        else:
-                            tables.append(
-                                mux_fn_inner if lit[1] == 0 else nd3_fn
-                            )
-                    function = _mux_tt(*tables)
-                    if len(function.support()) != 3:
-                        continue
-                    builder.offer(
-                        _assemble(
-                            function, "XOANDMX",
-                            [mux_step, nd3_step, ("MUX2", mux_fn, legs)], 2,
-                        )
-                    )
+    nd3_inner = _gate_inner_options(make_nd3wi())
+    for mux_out, mux_inv, mux_step in _mux_inner_options(inner_cell):
+        for nd3_out, nd3_step in nd3_inner:
+            legs = (
+                (mux_out, nd3_out, (("core", 0), ("core", 1)), 0, 0),
+                (nd3_out, mux_out, (("core", 1), ("core", 0)), 0, 0),
+            )
+            _offer_outer_mux(
+                builder, "XOANDMX", (mux_step, nd3_step), mux_inv, legs
+            )
 
 
 def _offer_lut3(builder: _TableBuilder, n: int) -> None:
     """Whole-function LUT3 collapse (LUT architecture only)."""
-    for mask in range(1 << (1 << n)):
-        function = TruthTable(n, mask)
-        if len(function.support()) != n:
-            continue
-        config = function.extend(3)
-        refs: List[object] = [
-            _Literal(TruthTable.input_var(n, i), (("leaf", i), False))
-            for i in range(n)
-        ]
-        while len(refs) < 3:
-            refs.append(refs[0])  # tie unused pins
-        builder.offer(_assemble(function, "LUT3", [("LUT3", config, refs)], 1))
-
+    area = _area(("LUT3",))
+    refs = _lit_refs(*range(0, 2 * n, 2), *(0,) * (3 - n))  # tie unused pins
+    for mask in range(_FULL_MASKS[n] + 1):
+        if builder.wins(n, mask, area, 1):
+            builder.put(
+                n, mask, "LUT3",
+                (("LUT3", TruthTable(n, mask).extend(3), refs),), area, 1,
+            )
 
 # ----------------------------------------------------------------------
 # Public tables
@@ -490,19 +490,17 @@ def _library_fingerprint(cells: frozenset) -> Tuple:
     return tuple(out)
 
 
-def _build_table(
-    cells: frozenset, composite: bool
-) -> Dict[Tuple[int, int], Realization]:
+def _build_table(cells: frozenset, composite: bool) -> _TableBuilder:
     """Forward-enumerate every structure family available to ``cells``."""
     builder = _TableBuilder()
     _offer_inv_buf(builder)
     if "ND2WI" in cells:
         for n in (2, 3):
-            _offer_nd2_singles(builder, n)
+            _offer_gate_singles(builder, make_nd2wi(), "ND2", n)
         _offer_two_gate_nand(builder)
     if "ND3WI" in cells:
         for n in (2, 3):
-            _offer_nd3_singles(builder, n)
+            _offer_gate_singles(builder, make_nd3wi(), "ND3", n)
     if "MUX2" in cells:
         for n in (2, 3):
             _offer_mux_singles(builder, n)
@@ -514,10 +512,10 @@ def _build_table(
         if "MUX2" in cells and "ND2WI" in cells:
             _offer_ndmx(builder)
         if "MUX2" in cells:
-            _offer_xoamx(builder, inner_cell=inner_mux)
+            _offer_xoamx(builder, inner_mux)
         if "MUX2" in cells and "ND3WI" in cells:
-            _offer_xoandmx(builder, inner_cell=inner_mux)
-    return dict(builder.table)
+            _offer_xoandmx(builder, inner_mux)
+    return builder
 
 
 @lru_cache(maxsize=None)
@@ -537,7 +535,8 @@ def table_for_cells(
     *persisted* through the content-addressed stage cache
     (:mod:`repro.flow.cache`): a warm run — or a fresh
     ``ProcessPoolExecutor`` worker — unpickles the finished table instead
-    of re-deriving its ~27k structure enumerations.  Keyed on the library
+    of re-enumerating its candidate structures (27,202 for the granular
+    compaction table, 28,808 over the paper's four).  Keyed on the library
     fingerprint plus :data:`TABLE_BUILDER_VERSION`; honors
     ``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR`` like every other stage.
     """
@@ -561,8 +560,12 @@ def table_for_cells(
         table = store.get("realize_table", key)
         loaded = table is not None
         if not loaded:
-            table = _build_table(cells, composite)
+            builder = _build_table(cells, composite)
+            table = builder.table
             store.put("realize_table", key, table)
+            sp.set(candidates=builder.candidates, assembled=builder.assembled)
+            _obs.counter("realize.table.candidates", builder.candidates)
+            _obs.counter("realize.table.assembled", builder.assembled)
         sp.set(loaded=loaded, entries=len(table))
         _obs.counter("realize.table.loads" if loaded else "realize.table.builds")
     return table
@@ -591,13 +594,6 @@ def compaction_table(arch) -> Dict[Tuple[int, int], Realization]:
     clustering.)
     """
     return table_for_cells(_resolve_cells(arch), composite=True)
-
-
-def _offer_inv_buf(builder: _TableBuilder) -> None:
-    var = TruthTable.input_var(1, 0)
-    leaf = _Literal(var, (("leaf", 0), False))
-    builder.offer(_assemble(~var, "INV", [("INV", ~var, [leaf])], 1))
-    builder.offer(_assemble(var, "BUF", [("BUF", var, [leaf])], 1))
 
 
 def lookup(

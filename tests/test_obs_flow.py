@@ -124,6 +124,34 @@ class TestRunDesignJournal:
         }
         assert counters["realize.table.loads"] == 1
 
+    def test_realization_table_build_counts_recorded(self, tmp_path, monkeypatch):
+        """A built (not loaded) table reports how many candidates it
+        tested and how many realizations it assembled."""
+        from repro.obs import core
+        from repro.synth.realize import compaction_table, table_for_cells
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))  # cold cache
+        table_for_cells.cache_clear()
+        core.begin()
+        try:
+            compaction_table("granular")
+        finally:
+            events = core.drain()
+            table_for_cells.cache_clear()
+        (span,) = [
+            e for e in events
+            if e["ev"] == "span" and e["name"] == "realize.table"
+        ]
+        attrs = span["attrs"]
+        assert attrs["loaded"] is False
+        assert attrs["entries"] <= attrs["assembled"] < attrs["candidates"]
+        counters = {
+            e["name"]: e["value"] for e in events if e["ev"] == "counter"
+        }
+        assert counters["realize.table.builds"] == 1
+        assert counters["realize.table.candidates"] == attrs["candidates"]
+        assert counters["realize.table.assembled"] == attrs["assembled"]
+
     def test_cache_hits_recorded_on_warm_run(self, tmp_path, monkeypatch):
         from dataclasses import replace
 

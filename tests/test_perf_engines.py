@@ -291,7 +291,7 @@ class TestSpeculativeEngineLevel:
 
 class TestPersistentRealizationTables:
     def _fresh(self, arch: str, composite: bool):
-        return _build_table(_resolve_cells(arch), composite)
+        return _build_table(_resolve_cells(arch), composite).table
 
     def test_persisted_load_equals_fresh_build(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -5,11 +5,17 @@ symbolically over its leaves, reproduces exactly the function it is filed
 under — for every architecture and every entry.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.logic.truthtable import TruthTable, all_functions
 from repro.synth.realize import (
+    TABLE_BUILDER_VERSION,
     Realization,
+    _build_table,
+    _resolve_cells,
     baseline_table,
     compaction_table,
     lookup,
@@ -122,3 +128,49 @@ def evaluate_realization_over(realization: Realization, n: int) -> TruthTable:
         ]
         values.append(step.config.compose(ins))
     return values[-1]
+
+
+def table_digest(table) -> str:
+    """sha256 of a canonical JSON of a table, in insertion order."""
+    entries = [
+        [
+            n, mask, r.structure, r.area, r.levels,
+            [
+                [s.cell_name, [s.config.n_inputs, s.config.mask],
+                 [list(ref) for ref in s.refs]]
+                for s in r.steps
+            ],
+        ]
+        for (n, mask), r in table.items()
+    ]
+    payload = json.dumps(entries, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+#: Digest of every built table, per TABLE_BUILDER_VERSION.  Persisted
+#: tables are keyed on the version, not on the builder's code.
+PINNED_TABLE_DIGESTS = {
+    1: {
+        "granular/baseline": "4cd4d5ef54e07729e6bf56a9d29069b99a7c005e948a9db4a7b7013b7c8b42d9",
+        "granular/compaction": "eb29b6771d22baab19cc8967c65663a3c9f20bc959aef9d7cbd4f49d9b81b48d",
+        "lut/baseline": "e471f8b1175185586c582c64e67c4bccec29bcba60c2b0e1090d26eaa8440bf9",
+        "lut/compaction": "e471f8b1175185586c582c64e67c4bccec29bcba60c2b0e1090d26eaa8440bf9",
+    },
+}
+
+
+class TestBuilderVersionPin:
+    @pytest.mark.parametrize("arch", ["granular", "lut"])
+    @pytest.mark.parametrize("composite", [False, True], ids=["baseline", "compaction"])
+    def test_built_table_matches_pinned_digest(self, arch, composite):
+        name = f"{arch}/{'compaction' if composite else 'baseline'}"
+        digest = table_digest(_build_table(_resolve_cells(arch), composite).table)
+        pinned = PINNED_TABLE_DIGESTS.get(TABLE_BUILDER_VERSION, {})
+        assert pinned.get(name) == digest, (
+            f"the {name} realization table built by this code differs from "
+            f"the one pinned for TABLE_BUILDER_VERSION={TABLE_BUILDER_VERSION}. "
+            "Warm caches key persisted tables on that version alone and "
+            "would keep serving the old table: bump TABLE_BUILDER_VERSION "
+            "in repro/synth/realize.py and pin the new digests in "
+            f"PINNED_TABLE_DIGESTS (this one: {digest})."
+        )
