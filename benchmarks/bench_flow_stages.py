@@ -18,7 +18,7 @@ Runnable directly as a wall-time regression guard::
 matrix against the recorded baseline in ``benchmarks/perf_baseline.json``
 and exits nonzero when any guarded time regresses more than 2x — a
 coarse tripwire for accidentally disabling the persistent realization
-tables, the array cost engine, or the stage-graph scheduler.  Every
+tables, the annealing kernel, or the stage-graph scheduler.  Every
 guarded timing is a **best-of-3**: the minimum is compared against the
 budget (the minimum of repeated runs estimates true cost; the max-min
 spread is reported so noisy-runner variance is visible instead of
@@ -134,26 +134,25 @@ def test_stage_placement(benchmark, stage_artifacts):
     assert result.timing.critical_path_delay > 0
 
 
-@pytest.mark.parametrize("engine", ["array", "object"])
-def test_stage_placement_kernel(benchmark, stage_artifacts, engine):
-    """Raw SA move-kernel throughput (moves/s) for both cost engines.
+def test_stage_placement_kernel(benchmark, stage_artifacts):
+    """Raw SA move-kernel throughput (moves/s).
 
     Bypasses the cooling schedule: one fixed-temperature sweep through
     :meth:`AnnealingPlacer.benchmark_kernel`, so the number isolates the
-    speculative-delta evaluate/commit path from the rest of the flow.
+    per-move exact net recompute from the rest of the flow.
     """
     from repro.place.grid import grid_for_netlist
     from repro.place.sa import AnnealingPlacer
 
     compacted = stage_artifacts["compacted"]
     placer = AnnealingPlacer(
-        compacted.copy(), grid_for_netlist(compacted), seed=3, engine=engine
+        compacted.copy(), grid_for_netlist(compacted), seed=3
     )
     stats = benchmark.pedantic(
         lambda: placer.benchmark_kernel(KERNEL_MOVES), rounds=1, iterations=1
     )
     assert stats["evaluated"] > 0
-    print(f"\n{engine} engine: {stats['moves_per_s']:,.0f} moves/s "
+    print(f"\nkernel: {stats['moves_per_s']:,.0f} moves/s "
           f"({stats['evaluated']} evaluated, {stats['accepted']} accepted)")
 
 
@@ -382,7 +381,7 @@ def _time_smoke_matrix(chrome_path: str = None) -> float:
 
 
 def _kernel_throughput() -> dict:
-    """Moves/s of the raw SA move kernel for both cost engines."""
+    """Moves/s of the raw SA move kernel."""
     from repro.place.grid import grid_for_netlist
     from repro.place.sa import AnnealingPlacer
     from repro.synth.compaction import compact
@@ -394,14 +393,10 @@ def _kernel_throughput() -> dict:
     core = extract_core(build_design(design, scale=SMOKE_SCALE))
     mapped = map_core(core, ARCH, library)
     compacted, _report = compact(mapped, ARCH, library)
-    out = {}
-    for engine in ("array", "object"):
-        placer = AnnealingPlacer(
-            compacted.copy(), grid_for_netlist(compacted),
-            seed=3, engine=engine,
-        )
-        out[engine] = placer.benchmark_kernel(KERNEL_MOVES)
-    return out
+    placer = AnnealingPlacer(
+        compacted.copy(), grid_for_netlist(compacted), seed=3
+    )
+    return placer.benchmark_kernel(KERNEL_MOVES)
 
 
 def _traced_smoke_report(repeats: int = 3) -> None:
@@ -451,8 +446,7 @@ def run_smoke(record: bool, json_path: str = None,
     best = min(cell_samples, key=lambda s: s["seconds"])
     print(f"cold {design}/{arch} cell (scale {SMOKE_SCALE}, "
           f"best of {SMOKE_REPEATS}): {elapsed:.2f} s "
-          f"(spread {spread:.2f} s, physical stage {physical:.2f} s, "
-          f"engine {best['placement'].get('engine', '?')})")
+          f"(spread {spread:.2f} s, physical stage {physical:.2f} s)")
     matrix_samples = [
         _time_smoke_matrix(chrome_path if i == 0 else None)
         for i in range(SMOKE_REPEATS)
@@ -463,9 +457,8 @@ def run_smoke(record: bool, json_path: str = None,
           f"{SMOKE_REPEATS}): {matrix_seconds:.2f} s "
           f"(spread {matrix_spread:.2f} s)")
     kernel = _kernel_throughput()
-    for engine, stats in kernel.items():
-        print(f"{engine} kernel: {stats['moves_per_s']:,.0f} moves/s "
-              f"({KERNEL_MOVES} proposals)")
+    print(f"kernel: {kernel['moves_per_s']:,.0f} moves/s "
+          f"({KERNEL_MOVES} proposals)")
     _traced_smoke_report()
     if json_path:
         Path(json_path).write_text(json.dumps({
@@ -489,10 +482,7 @@ def run_smoke(record: bool, json_path: str = None,
             "matrix_scale": SMOKE_MATRIX_SCALE,
             "matrix_jobs": SMOKE_MATRIX_JOBS,
             "placement": best["placement"],
-            "kernel_moves_per_s": {
-                engine: round(stats["moves_per_s"], 1)
-                for engine, stats in kernel.items()
-            },
+            "kernel_moves_per_s": round(kernel["moves_per_s"], 1),
         }, indent=2) + "\n")
         print(f"measurements written to {json_path}")
     if record:

@@ -1,7 +1,7 @@
 """Determinism linter over the repro codebase itself (family ``DT``).
 
 Bit-identical reproducibility is an *asserted* property of this flow:
-the stage cache, the parallel matrix runner, and the engine-equivalence
+the stage cache, the parallel matrix runner, and the kernel-oracle
 tests all assume that a (netlist, options, seed) triple fully determines
 every result.  This pass walks the ``ast`` of ``src/repro`` and flags
 the hazard patterns that historically break that assumption:

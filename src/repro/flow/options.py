@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..timing.sta import DEFAULT_CLOCK_PERIOD_NS
 
@@ -18,7 +18,7 @@ from ..timing.sta import DEFAULT_CLOCK_PERIOD_NS
 #: bit-identical under any value of the field; ``repro check --rules CK``
 #: and the key-sensitivity property test enforce the claim.
 PERF_KNOBS = frozenset({
-    "jobs", "schedule", "use_cache", "observe", "check", "sa_engine",
+    "jobs", "schedule", "use_cache", "observe", "check",
 })
 
 
@@ -55,12 +55,6 @@ class FlowOptions:
     aborts the run with :class:`repro.check.CheckError`.  Audits only
     read stage artifacts, so this too never changes computed results.
 
-    ``sa_engine`` selects the annealing cost engine (``"array"`` or
-    ``"object"``; ``None`` defers to ``$REPRO_SA_ENGINE``, then the
-    default ``"array"``).  Both engines are bit-identical — same float
-    sequence, same RNG stream, same placements — so like the other
-    performance knobs it is excluded from stage cache keys.
-
     ``utilization`` is the flow-a standard-cell utilization target: die
     sizing inflates total cell area by ``1/utilization`` when building
     the placement grid.  It is a *semantic* knob (placement and die area
@@ -86,7 +80,6 @@ class FlowOptions:
     use_cache: bool = True
     observe: bool = False
     check: bool = False
-    sa_engine: Optional[str] = None
 
     def with_arch(self, arch: str) -> "FlowOptions":
         from dataclasses import replace

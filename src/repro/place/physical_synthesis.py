@@ -39,8 +39,11 @@ class PhysicalResult:
     timing: TimingReport
     buffers_added: int
     #: Aggregated annealer counters across placement iterations
-    #: (engine name, temperatures, moves proposed/evaluated/accepted).
-    #: Purely informational — never part of design metrics.
+    #: (temperatures, moves proposed/evaluated/accepted, and the fixed
+    #: ``"engine": "array"`` label).  Not informational only: the flow
+    #: summary's ``"placement"`` entry carries them into
+    #: ``DesignRun.metrics()``, so they are part of every served result
+    #: and its digest.
     placement_stats: Dict[str, object] = field(default_factory=dict)
 
 
@@ -69,14 +72,9 @@ def run_physical_synthesis(
     locked: Optional[Mapping[str, Site]] = None,
     grid: Optional[PlacementGrid] = None,
     effort: float = 1.0,
-    engine: Optional[str] = None,
     utilization: float = DEFAULT_UTILIZATION,
 ) -> PhysicalResult:
     """Place-and-optimize loop; mutates ``netlist`` (buffer insertion).
-
-    ``engine`` picks the annealer cost engine (``None`` defers to
-    ``$REPRO_SA_ENGINE``, then ``"array"``); both engines produce
-    bit-identical placements, so it only affects wall time.
 
     ``utilization`` sizes the standard-cell site grid when no explicit
     ``grid`` is given (flow a die sizing); it changes placement and die
@@ -98,10 +96,9 @@ def run_physical_synthesis(
             seed=seed + iteration,
             locked=locked,
             effort=effort,
-            engine=engine,
         )
         placement = placer.place()
-        stats["engine"] = placer.engine_name
+        stats["engine"] = placer.stats["engine"]
         for key in ("temperatures", "proposed", "evaluated", "accepted"):
             stats[key] += int(placer.stats.get(key, 0))  # type: ignore[operator]
         wires = wire_model_from_placement(placement.net_pin_points(netlist))

@@ -254,7 +254,6 @@ class TestHeadIsCoherent:
         # The paper-relevant incoherencies this PR fixed stay fixed:
         assert "utilization" in model.keyed["physical"]
         assert "check" in model.perf_knobs
-        assert "sa_engine" in model.perf_knobs
         # The coherence invariant itself: every stage-read field is
         # either in the stage's key chain or a declared perf knob.
         for stage in model.stages:

@@ -76,6 +76,20 @@ class TestFullFlow:
         src, run = small_runs[arch]
         assert outputs_equal(src, run.physical.netlist, n_cycles=3)
 
+    @pytest.mark.parametrize("arch", ["lut", "granular"])
+    def test_metrics_pin_placement_stats(self, small_runs, arch):
+        # The annealer's counters ride in every design's metrics, so
+        # every served result and its digest hashes them: pin the exact
+        # key set and the fixed engine label.
+        _src, run = small_runs[arch]
+        placement = run.metrics()["placement"]
+        assert set(placement) == {
+            "temperatures", "proposed", "evaluated", "accepted", "engine",
+        }
+        assert placement["engine"] == "array"
+        assert placement["proposed"] >= placement["evaluated"]
+        assert placement["evaluated"] >= placement["accepted"] > 0
+
     def test_flow_b_area_exceeds_cells(self, small_runs):
         # The PLB array must cost at least the netlist's own cell area.
         for arch, (_src, run) in small_runs.items():

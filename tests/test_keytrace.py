@@ -9,6 +9,7 @@ the end-to-end contract: a real flow run under ``REPRO_KEYTRACE=1``
 produces per-stage read-sets contained in the static model's.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -145,11 +146,17 @@ class TestAudit:
         assert "incoherence" in messages
 
     def test_perf_knob_read_is_covered(self, tmp_path):
-        # sa_engine is read by the physical stage but excluded from its
-        # key by contract — the knob set covers it.
+        # No shipped stage reads a perf knob, so grant the physical
+        # stage a read of ``jobs``: a knob read that the static model
+        # predicts is excluded from the key by contract — the knob set
+        # covers it.
+        model = static_stage_model()
+        reads = dict(model.reads)
+        reads["physical"] = reads["physical"] | {"jobs"}
+        model = dataclasses.replace(model, reads=reads)
         path = tmp_path / "kt.jsonl"
-        write_events(path, audit_events([("physical", "sa_engine")]))
-        assert findings_from_keytrace_journal(path) == []
+        write_events(path, audit_events([("physical", "jobs")]))
+        assert findings_from_keytrace_journal(path, model) == []
 
 
 class TestEndToEnd:

@@ -82,6 +82,16 @@ class TestAnnealer:
         with pytest.raises(ValueError):
             AnnealingPlacer(ripple_design, PlacementGrid(2, 2, 5.0))
 
+    def test_locked_site_outside_grid_rejected(self, ripple_design):
+        # Occupancy is indexed row * cols + col: an off-grid column
+        # would alias another site instead of failing.
+        grid = grid_for_netlist(ripple_design)
+        name = next(iter(ripple_design.instances))
+        with pytest.raises(ValueError, match="inside the grid"):
+            AnnealingPlacer(
+                ripple_design, grid, locked={name: (grid.cols, 0)}
+            )
+
 
 class TestBuffers:
     def test_high_fanout_net_split(self):
