@@ -12,6 +12,7 @@ scaled down for a pure-Python flow).
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Dict, Optional, Tuple
 from ..core.s3 import category_counts, modified_s3_implementable, s3_feasible_set
 from ..designs import build_alu, build_firewire, build_fpu, build_netswitch
 from ..netlist.core import Netlist
-from .cache import CacheStats
+from .cache import CacheStats, canonical_netlist
 from .flow import DesignRun
 from .options import FlowOptions
 from .parallel import run_cells
@@ -72,6 +73,25 @@ def build_design(name: str, scale: Optional[float] = None) -> Netlist:
             width=max(4, round(8 * s)),
         )
     raise ValueError(f"unknown design {name!r}")
+
+
+#: Entries kept by :func:`design_canonical`: every shipped design at a
+#: few scales.  A constant, so a long-lived server that sees many
+#: scales holds at most this many texts (tens of KB each).
+_CANONICAL_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_CANONICAL_MEMO_SIZE)
+def design_canonical(name: str, scale: float) -> str:
+    """``canonical_netlist(build_design(name, scale))``, memoized.
+
+    The synthesis key hashes exactly this text, so request keys derived
+    from it are byte-identical to keys derived from a freshly built
+    netlist, without building one.  Designs are pure functions of
+    ``(name, scale)``.  Only the immutable text is shared:
+    :func:`build_design` still returns a fresh netlist on every call.
+    """
+    return canonical_netlist(build_design(name, scale))
 
 
 def default_options() -> FlowOptions:

@@ -460,12 +460,14 @@ def stage_cache_key(
     cache: StageCache,
     stage: str,
     options: FlowOptions,
-    netlist: Optional[Netlist] = None,
+    netlist: Union[Netlist, str, None] = None,
     parent_key: Optional[str] = None,
 ) -> str:
     """The content-addressed key of one stage's result.
 
-    ``netlist`` is required for the pipeline root (``synthesis``);
+    ``netlist`` is required for the pipeline root (``synthesis``),
+    either as a :class:`Netlist` or as its :func:`canonical_netlist`
+    text, which is what the key hashes (so both forms key identically);
     every other stage chains on ``parent_key`` — the key of its
     :data:`STAGE_KEY_PARENT` — so an upstream change invalidates exactly
     its downstream stages.  Component order is load-bearing: it must
@@ -473,8 +475,12 @@ def stage_cache_key(
     silently misses.
     """
     if stage == "synthesis":
+        source = (
+            netlist if isinstance(netlist, str)
+            else canonical_netlist(netlist)
+        )
         return cache.key(
-            "synthesis", canonical_netlist(netlist),
+            "synthesis", source,
             repr(architecture_of(options.arch)),
             options.opt_effort, options.run_compaction,
         )
@@ -501,9 +507,12 @@ def stage_cache_key(
 
 
 def stage_keys(
-    cache: StageCache, netlist: Netlist, options: FlowOptions
+    cache: StageCache, netlist: Union[Netlist, str], options: FlowOptions
 ) -> Dict[str, str]:
-    """Every stage's cache key for one (netlist, options) cell."""
+    """Every stage's cache key for one (netlist, options) cell.
+
+    ``netlist`` may be the :func:`canonical_netlist` text instead.
+    """
     keys: Dict[str, str] = {}
     for stage in STAGES:
         parent = STAGE_KEY_PARENT[stage]
@@ -516,7 +525,7 @@ def stage_keys(
 
 
 def request_key(
-    cache: StageCache, netlist: Netlist, options: FlowOptions
+    cache: StageCache, netlist: Union[Netlist, str], options: FlowOptions
 ) -> str:
     """The sha256 identity of one flow request, for coalescing.
 
@@ -524,8 +533,11 @@ def request_key(
     chain's contract exactly: performance knobs (the fields in
     :data:`repro.flow.options.PERF_KNOBS`) do not participate, and two
     requests share a key if and only if every stage of one would be a
-    cache hit for the other.  ``repro.serve`` coalesces concurrent
-    submissions with equal keys onto a single execution.
+    cache hit for the other.  ``repro.serve`` coalesces submissions
+    with equal keys onto a single execution, and answers a repeat of a
+    finished request from that execution's result.  ``netlist`` may be
+    the :func:`canonical_netlist` text (see
+    :func:`repro.flow.experiments.design_canonical`).
     """
     keys = stage_keys(cache, netlist, options)
     return stable_hash("request", *(keys[stage] for stage in STAGES))

@@ -12,9 +12,10 @@ content-addressed stage-cache key chain
 (:func:`repro.flow.flow.request_key`), prefixed by the job kind.  Two
 submissions with equal keys are, by the cache's own contract, the same
 computation — the queue coalesces them onto one execution and both
-submitters receive the result.  Performance knobs (the fields in
-:data:`repro.flow.options.PERF_KNOBS`) are excluded from stage keys and
-therefore from request keys.
+submitters receive the result, and answers a later repeat from a job
+that already finished ``done`` in this process.  Performance knobs (the
+fields in :data:`repro.flow.options.PERF_KNOBS`) are excluded from stage
+keys and therefore from request keys.
 """
 
 from __future__ import annotations
@@ -171,27 +172,31 @@ def derive_request_key(spec: JobSpec) -> str:
 
     Chained from the stage-cache keys, so it changes exactly when any
     stage of the request would recompute — and never with perf knobs.
-    The (never-read) :class:`StageCache` here only supplies ``key()``;
-    no cache I/O happens during derivation.
+    The synthesis key hashes the source design's canonical text, which
+    comes from the per-process memo
+    :func:`~repro.flow.experiments.design_canonical`: admission builds
+    no design, and the key bytes equal those derived from a freshly
+    built netlist.  The (never-read) :class:`StageCache` here only
+    supplies ``key()``; no cache I/O happens during derivation.
     """
-    from ..flow.experiments import ARCHES, DESIGNS, build_design
+    from ..flow.experiments import ARCHES, DESIGNS, design_canonical
 
     cache = StageCache(enabled=False)
     if spec.kind == "tables":
-        keys = []
-        for design in DESIGNS:
-            netlist = build_design(design, spec.scale)
-            for arch in ARCHES:
-                keys.append(request_key(
-                    cache, netlist, spec.flow_options(arch)
-                ))
+        keys = [
+            request_key(
+                cache, design_canonical(design, spec.scale),
+                spec.flow_options(arch),
+            )
+            for design in DESIGNS for arch in ARCHES
+        ]
         return stable_hash("tables", *keys)
     if spec.design is None:  # unreachable past admission validation
         raise ValueError(f"kind {spec.kind!r} requires a design")
-    netlist = build_design(spec.design, spec.scale)
-    return stable_hash(
-        spec.kind, request_key(cache, netlist, spec.flow_options())
-    )
+    return stable_hash(spec.kind, request_key(
+        cache, design_canonical(spec.design, spec.scale),
+        spec.flow_options(),
+    ))
 
 
 @dataclass
@@ -208,8 +213,13 @@ class Job:
     finished_at: Optional[float] = None
     #: Primary job this submission coalesced onto (None = runs itself).
     coalesced_into: Optional[str] = None
-    #: Ids of later submissions attached to this (primary) job.
+    #: Ids of later submissions attached to this (primary) job while it
+    #: was queued or running.
     attached: List[str] = field(default_factory=list)
+    #: Admitted already done from a primary that had finished (never
+    #: queued, never run, not in its ``attached``; see
+    #: :mod:`repro.serve.queue`).
+    answered: bool = False
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
     #: Times this job was checkpointed back to the queue by a drain.
@@ -238,6 +248,7 @@ class Job:
             "finished_at": self.finished_at,
             "coalesced_into": self.coalesced_into,
             "attached": list(self.attached),
+            "answered": self.answered,
             "requeues": self.requeues,
             "error": self.error,
         }
@@ -258,6 +269,7 @@ class Job:
             finished_at=doc.get("finished_at"),
             coalesced_into=doc.get("coalesced_into"),
             attached=list(doc.get("attached") or []),
+            answered=bool(doc.get("answered", False)),
             result=doc.get("result"),
             error=doc.get("error"),
             requeues=doc.get("requeues", 0),

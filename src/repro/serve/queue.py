@@ -13,6 +13,16 @@ resumes warm).
 running job does not enqueue a second execution.  It becomes an
 *attached* job — a full record with its own id — that receives a copy
 of the primary's result (or error) the moment the primary finishes.
+A submission whose key matches a primary that finished ``done`` in
+this process is *answered*: it is admitted already ``done``, carrying
+that primary's result and ``coalesced_into`` the primary, with no queue
+slot, no executor claim and one journal line.  A failed or cancelled
+primary answers nothing; the next submission runs.  Nor does a primary
+run without the ``check`` audit answer a submission that asks for it.
+Jobs replayed from the journal are never indexed for answering: a
+restarted server may run newer code, and request keys carry no code
+identity yet, so an old result is history, not an answer.  A restarted
+server answers a repeat through the stage cache, by running it.
 
 Progress events stream through per-job files under ``events/<id>.jsonl``
 in the obs journal format, tailed incrementally by the
@@ -61,6 +71,9 @@ class JobQueue:
         self._heap: List[Tuple[int, int, str]] = []
         #: request key -> id of the non-terminal primary for that key.
         self._by_key: Dict[str, str] = {}
+        #: request key -> id of a primary that finished ``done`` in this
+        #: process (replay never fills it; see the module docstring).
+        self._done_by_key: Dict[str, str] = {}
         self._seq = 0
         self._replay()
 
@@ -117,7 +130,7 @@ class JobQueue:
                 return
             self._jobs[job.id] = job
             self._seq = max(self._seq, job.seq + 1)
-            if job.coalesced_into is not None:
+            if job.coalesced_into is not None and not job.answered:
                 primary = self._jobs.get(job.coalesced_into)
                 if primary is not None and job.id not in primary.attached:
                     primary.attached.append(job.id)
@@ -148,24 +161,37 @@ class JobQueue:
     # -- submission / coalescing ---------------------------------------
 
     def submit(self, spec: JobSpec, key: str) -> Job:
-        """Admit one job; may coalesce onto an active identical request.
+        """Admit one job; may coalesce onto an identical request.
 
         Raises :class:`QueueFull` when the number of *queued* primaries
         is at the limit (running jobs don't count — the queue, not the
         execution capacity, is what admission protects).  A coalesced
-        submission always fits: it occupies no queue slot.
+        or answered submission always fits: it occupies no queue slot.
         """
         with self._cond:
+            answer = self._jobs.get(self._done_by_key.get(key, ""))
+            if answer is not None and spec.flow_options().check \
+                    and not answer.spec.flow_options().check:
+                # ``check`` is not keyed, but a run that asks for the
+                # stage audit must get one: it runs (warm) instead.
+                answer = None
             primary_id = self._by_key.get(key)
             primary = self._jobs.get(primary_id) if primary_id else None
             if primary is not None and primary.terminal:
                 primary = None
-            if primary is None and len(self._heap) >= self.limit:
+            if answer is None and primary is None \
+                    and len(self._heap) >= self.limit:
                 raise QueueFull(len(self._heap), self.limit)
             seq = self._seq
             self._seq += 1
             job = Job(id=job_id_for(seq, key), seq=seq, spec=spec, key=key)
-            if primary is not None:
+            if answer is not None:
+                job.coalesced_into = answer.id
+                job.answered = True
+                job.state = "done"
+                job.started_at = job.finished_at = job.submitted_at
+                job.result = answer.result
+            elif primary is not None:
                 job.coalesced_into = primary.id
                 job.state = primary.state if not primary.terminal else "queued"
                 primary.attached.append(job.id)
@@ -230,6 +256,8 @@ class JobQueue:
             self._persist_state(job, with_result=result is not None)
             if self._by_key.get(job.key) == job.id:
                 del self._by_key[job.key]
+            if state == "done" and job.coalesced_into is None:
+                self._done_by_key[job.key] = job.id
             self._propagate_state(job)
             self._cond.notify_all()
 

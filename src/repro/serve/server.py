@@ -399,7 +399,9 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         repro.count("serve.jobs.submitted")
-        if job.coalesced_into:
+        if job.answered:
+            repro.count("serve.jobs.answered")
+        elif job.coalesced_into:
             repro.count("serve.jobs.coalesced")
         self._send_json(201, {
             "id": job.id,

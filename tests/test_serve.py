@@ -5,12 +5,16 @@ Covered contracts:
 * **Spec validation** — malformed submissions are rejected with clear
   errors at admission (HTTP 400), never enqueued.
 * **Request keys** — coalescing identity follows the stage-cache key
-  chain: perf knobs never change it, every semantic knob does.
+  chain: perf knobs never change it, every semantic knob does; keys
+  derived through the per-process canonical design memo equal keys
+  derived from a freshly built netlist.
 * **Queue** — priority ordering, admission limit, persistence/replay
-  (running jobs resume as queued), coalescing, cancellation.
+  (running jobs resume as queued), coalescing, answering repeats from
+  a primary that finished ``done`` in this process, cancellation.
 * **End-to-end HTTP** — a served job's metrics are byte-identical to a
   direct ``run_design`` (the acceptance criterion), two identical
-  submissions share one execution, 429 + Retry-After under admission
+  submissions share one execution, a repeat of a finished request is
+  answered without running a stage, 429 + Retry-After under admission
   pressure, DELETE cancels a running job at a stage boundary, drain
   checkpoints and a restarted server resumes warm, and SIGTERM makes
   the CLI daemon exit 0.
@@ -32,8 +36,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.flow.cache import StageCache
-from repro.flow.experiments import build_design
+from repro.flow import experiments
+from repro.flow.cache import StageCache, canonical_netlist, stable_hash
+from repro.flow.experiments import ARCHES, DESIGNS, build_design
 from repro.flow.flow import request_key, run_design
 from repro.flow.options import FlowOptions
 from repro.serve import (
@@ -146,6 +151,54 @@ class TestRequestKey:
         assert derive_request_key(tables) != derive_request_key(fast_spec())
 
 
+class TestCanonicalMemo:
+    """Admission derives keys from memoized canonical design text; the
+    key bytes must equal those of a freshly built netlist."""
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    @pytest.mark.parametrize("arch", ARCHES)
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_flow_key_equals_fresh_netlist_key(self, design, arch, scale):
+        spec = fast_spec(design=design, arch=arch, scale=scale)
+        fresh = stable_hash("flow", request_key(
+            StageCache(enabled=False), build_design(design, scale),
+            spec.flow_options(),
+        ))
+        assert derive_request_key(spec) == fresh
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    def test_tables_key_equals_fresh_netlist_keys(self, scale):
+        spec = JobSpec.from_payload(
+            {"kind": "tables", "scale": scale, "options": FAST_OPTIONS}
+        )
+        cache = StageCache(enabled=False)
+        fresh = stable_hash("tables", *(
+            request_key(cache, build_design(design, scale),
+                        spec.flow_options(arch))
+            for design in DESIGNS for arch in ARCHES
+        ))
+        assert derive_request_key(spec) == fresh
+
+    def test_memo_is_bounded_by_a_constant(self):
+        memo = experiments.design_canonical
+        assert memo.cache_info().maxsize == experiments._CANONICAL_MEMO_SIZE
+        assert isinstance(experiments._CANONICAL_MEMO_SIZE, int)
+        for step in range(experiments._CANONICAL_MEMO_SIZE + 4):
+            memo("alu", 0.05 + 0.01 * step)
+        assert memo.cache_info().currsize <= experiments._CANONICAL_MEMO_SIZE
+
+    def test_build_design_still_returns_a_fresh_netlist(self):
+        experiments.design_canonical("alu", SCALE)
+        assert build_design("alu", SCALE) is not build_design("alu", SCALE)
+
+    def test_run_design_leaves_input_canonical_unchanged(self):
+        netlist = build_design("alu", SCALE)
+        before = canonical_netlist(netlist)
+        run_design(netlist, "granular", fast_spec().flow_options())
+        assert canonical_netlist(netlist) == before
+        assert before == experiments.design_canonical("alu", SCALE)
+
+
 # ----------------------------------------------------------------------
 # Queue semantics (no HTTP, no flow execution)
 # ----------------------------------------------------------------------
@@ -186,9 +239,111 @@ class TestJobQueue:
         queue.finish(primary.id, {"answer": 42})
         assert queue.get(twin.id).state == "done"
         assert queue.get(twin.id).result == {"answer": 42}
-        # After the primary finished, the same key runs fresh again.
+        # After the primary finished done, the same key is answered
+        # from its result: admitted done, never queued or claimed.
         fresh = queue.submit(fast_spec(), "key-x")
-        assert fresh.coalesced_into is None
+        assert fresh.coalesced_into == primary.id
+        assert fresh.state == "done"
+        assert fresh.result == {"answer": 42}
+        assert queue.claim(timeout=0) is None
+
+    def test_answered_record(self, tmp_path):
+        queue = JobQueue(tmp_path, limit=8)
+        primary = queue.submit(fast_spec(), "key-r")
+        queue.claim(timeout=0)
+        queue.finish(primary.id, {"answer": 5})
+        answered = queue.submit(fast_spec(), "key-r")
+        assert answered.answered and not primary.answered
+        # Queue wait and exec read from the record are zero.
+        assert answered.started_at == answered.submitted_at
+        assert answered.finished_at == answered.submitted_at
+        assert queue.events_path(answered.id) == \
+            queue.events_path(primary.id)
+        assert queue.depth() == 0 and queue.running() == 0
+        assert primary.attached == []
+        # One journal line: the submission, already done.
+        lines = queue.journal_path.read_text().splitlines()
+        assert sum(answered.id in line for line in lines) == 1
+        # It replays as the done job it was admitted as.
+        revived = JobQueue(tmp_path, limit=8).get(answered.id)
+        assert revived.state == "done"
+        assert revived.answered
+        assert revived.result == {"answer": 5}
+        assert revived.coalesced_into == primary.id
+        assert JobQueue(tmp_path, limit=8).get(primary.id).attached == []
+
+    def test_failed_primary_does_not_answer(self, tmp_path):
+        queue = JobQueue(tmp_path, limit=8)
+        primary = queue.submit(fast_spec(), "key-f")
+        queue.claim(timeout=0)
+        queue.fail(primary.id, "boom")
+        retry = queue.submit(fast_spec(), "key-f")
+        assert retry.coalesced_into is None
+        assert retry.state == "queued"
+        assert queue.claim(timeout=0).id == retry.id
+
+    @pytest.mark.parametrize("when", ["queued", "running"])
+    def test_cancelled_primary_does_not_answer(self, tmp_path, when):
+        queue = JobQueue(tmp_path, limit=8)
+        primary = queue.submit(fast_spec(), "key-c")
+        if when == "running":
+            queue.claim(timeout=0)
+            assert queue.cancel(primary.id) == "cancelling"
+            queue.mark_cancelled(primary.id, "cancelled before stage")
+        else:
+            assert queue.cancel(primary.id) == "cancelled"
+        retry = queue.submit(fast_spec(), "key-c")
+        assert retry.coalesced_into is None
+        assert retry.state == "queued"
+        assert queue.claim(timeout=0).id == retry.id
+
+    def test_unaudited_primary_does_not_answer_a_check_request(
+        self, tmp_path
+    ):
+        queue = JobQueue(tmp_path, limit=8)
+        plain = queue.submit(fast_spec(), "key-k")
+        queue.claim(timeout=0)
+        queue.finish(plain.id, {"answer": 4})
+        audited_spec = fast_spec(options={**FAST_OPTIONS, "check": True})
+        audited = queue.submit(audited_spec, "key-k")
+        assert audited.coalesced_into is None
+        assert queue.submit(fast_spec(), "key-k").coalesced_into == plain.id
+        assert queue.claim(timeout=0).id == audited.id
+        queue.finish(audited.id, {"answer": 4})
+        assert queue.submit(
+            audited_spec, "key-k"
+        ).coalesced_into == audited.id
+
+    def test_answered_submission_admitted_at_limit(self, tmp_path):
+        queue = JobQueue(tmp_path, limit=1)
+        done = queue.submit(fast_spec(), "key-a")
+        queue.claim(timeout=0)
+        queue.finish(done.id, {"answer": 3})
+        queue.submit(fast_spec(), "key-b")  # fills the only slot
+        with pytest.raises(QueueFull):
+            queue.submit(fast_spec(), "key-c")
+        answered = queue.submit(fast_spec(), "key-a")
+        assert answered.state == "done"
+        assert answered.result == {"answer": 3}
+        assert queue.depth() == 1
+
+    def test_replayed_done_jobs_do_not_answer(self, tmp_path):
+        queue = JobQueue(tmp_path, limit=8)
+        done = queue.submit(fast_spec(), "key-d")
+        queue.claim(timeout=0)
+        queue.finish(done.id, {"answer": 9})
+
+        revived = JobQueue(tmp_path, limit=8)  # simulated restart
+        assert revived.get(done.id).state == "done"
+        rerun = revived.submit(fast_spec(), "key-d")
+        assert rerun.coalesced_into is None
+        assert rerun.state == "queued"
+        assert revived.claim(timeout=0).id == rerun.id
+        # Once it finishes in this process, it answers.
+        revived.finish(rerun.id, {"answer": 9})
+        assert revived.submit(
+            fast_spec(), "key-d"
+        ).coalesced_into == rerun.id
 
     def test_cancel_queued_and_attached(self, tmp_path):
         queue = JobQueue(tmp_path, limit=8)
@@ -293,6 +448,43 @@ class TestQueueConcurrency:
         job = queue.submit(fast_spec(), "key-z")
         assert queue.claim(timeout=0).id == job.id
 
+    def test_submissions_racing_a_finish_share_one_execution(
+        self, tmp_path
+    ):
+        queue = JobQueue(tmp_path, limit=8)
+        primary = queue.submit(fast_spec(), "key-race")
+        assert queue.claim(timeout=0).id == primary.id
+        submitted = []
+
+        def submitter():
+            for _ in range(10):
+                submitted.append(queue.submit(fast_spec(), "key-race"))
+
+        threads = [threading.Thread(target=submitter) for _ in range(6)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            queue.finish(primary.id, {"answer": 1})
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        # Each submission attached before the finish or was answered
+        # after it: never a second execution, never a lost result.
+        assert len(submitted) == 60
+        assert queue.claim(timeout=0) is None
+        for job in submitted:
+            record = queue.get(job.id)
+            assert record.coalesced_into == primary.id
+            assert record.state == "done"
+            assert record.result == {"answer": 1}
+        # Only the submissions that waited on the run are attached.
+        attached = {j.id for j in submitted if not j.answered}
+        assert set(primary.attached) == attached
+
     def test_emit_wakes_long_pollers(self, tmp_path):
         queue = JobQueue(tmp_path, limit=8)
         job = queue.submit(fast_spec(), "key-emit")
@@ -353,6 +545,78 @@ def _blocking_stage(monkeypatch, stage="physical"):
 
     monkeypatch.setattr(flow_module, "compute_stage", patched)
     return started, release
+
+
+def _failing_stages(monkeypatch):
+    """Make every stage computation raise; returns the stages asked for."""
+    from repro.flow import flow as flow_module
+
+    ran = []
+
+    def patched(name, options, artifacts, netlist=None):
+        ran.append(name)
+        raise AssertionError(f"stage {name} ran for a finished request")
+
+    monkeypatch.setattr(flow_module, "compute_stage", patched)
+    return ran
+
+
+def _canonical_json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, default=str)
+
+
+class TestAnsweredRepeats:
+    """A repeat of a request that finished done is answered at admission."""
+
+    def test_flow_repeat_runs_no_stage(self, client, monkeypatch):
+        options = {**FAST_OPTIONS, "seed": 53}
+        first = client.submit(**fast_payload(options=options))
+        done = client.wait(first["id"], timeout=120)
+        assert done["state"] == "done"
+        direct = run_design(
+            build_design("alu", SCALE), "granular",
+            FlowOptions.from_dict(dict(options)),
+        )
+
+        ran = _failing_stages(monkeypatch)
+        repeat = client.submit(**fast_payload(options=options))
+        assert repeat["state"] == "done"
+        assert repeat["coalesced_into"] == first["id"]
+        started = time.monotonic()
+        chunk = client.events(repeat["id"], wait=10.0)
+        assert time.monotonic() - started < 5.0
+        assert chunk["state"] == "done"
+        stages = [e for e in chunk["events"] if e["name"] == "job.stage"]
+        assert {e["attrs"]["id"] for e in stages} == {first["id"]}
+        record = client.job(repeat["id"])
+        assert ran == []
+        assert record["answered"] is True
+        assert record["started_at"] == record["finished_at"] \
+            == record["submitted_at"]
+        served = _canonical_json(record["result"]["metrics"])
+        assert served == _canonical_json(done["result"]["metrics"])
+        assert served == _canonical_json(direct.metrics())
+        metrics = client.metrics_text()
+        assert "repro_serve_jobs_answered_total 1" in metrics
+        assert "repro_serve_jobs_started_total 1" in metrics
+        assert "repro_serve_jobs_done_total 1" in metrics
+        assert "repro_serve_jobs_coalesced_total" not in metrics
+
+    def test_tables_repeat_is_answered(self, client, monkeypatch):
+        payload = {"kind": "tables", "scale": 0.1, "options": FAST_OPTIONS}
+        first = client.submit(**payload)
+        done = client.wait(first["id"], timeout=300)
+        assert done["state"] == "done"
+
+        ran = _failing_stages(monkeypatch)
+        repeat = client.submit(**payload)
+        assert repeat["state"] == "done"
+        assert repeat["coalesced_into"] == first["id"]
+        record = client.wait(repeat["id"], timeout=30)
+        assert ran == []
+        assert _canonical_json(record["result"]) == \
+            _canonical_json(done["result"])
+        assert "repro_serve_jobs_started_total 1" in client.metrics_text()
 
 
 class TestServeEndToEnd:
@@ -463,14 +727,17 @@ class TestServeEndToEnd:
         started, release = _blocking_stage(monkeypatch)
         ticket = client.submit(
             **fast_payload(options={**FAST_OPTIONS, "seed": 37}),
-            timeout_seconds=0.05,
+            # The deadline must outlast everything before the blocked
+            # stage: a cold synthesis (~0.2 s) or one full GC pass
+            # (~45 ms) broke a 0.05 s deadline before physical started.
+            timeout_seconds=1.0,
         )
         assert started.wait(timeout=30)
-        time.sleep(0.1)  # let the deadline lapse while the stage blocks
+        time.sleep(1.1)  # let the deadline lapse while the stage blocks
         release.set()
         job = client.wait(ticket["id"], timeout=60)
         assert job["state"] == "failed"
-        assert "timeout after 0.05s" in job["error"]
+        assert "timeout after 1.0s" in job["error"]
 
 
 class TestDrainAndResume:
